@@ -828,8 +828,10 @@ let pack_json rows =
    and a snapshot of the sampled series. *)
 
 type metrics_row = {
-  mt_off_ns : float; (* list contains ns/op, plane off (inert sleeper) *)
-  mt_on_ns : float; (* same loop, sampler running + watchdog stamping *)
+  (* list contains ns/op, median over rounds: plane off (inert sleeper),
+     then on (sampler running + watchdog stamping) *)
+  mt_off_ns : float;
+  mt_on_ns : float;
   mt_overhead_pct : float;
   mt_bracket_idle_ns : float; (* bare begin/end bracket, plane off, 1 domain *)
   mt_bracket_off_ns : float; (* same bracket, inert sleeper, clock at zero *)
@@ -859,7 +861,7 @@ let run_metrics () =
      guard bracket per op around a real traversal, the shape the ≤3%
      sampler-overhead budget is stated against *)
   let keys = 256 in
-  let ops = if smoke then 8_000 else 20_000 in
+  let ops = if smoke then 2_000 else 5_000 in
   let reps = 12 in
   let l = L_hp.create () in
   for k = 1 to keys do
@@ -886,32 +888,75 @@ let run_metrics () =
     done;
     float_of_int (Obs.Sink.now_ns () - t0) /. float_of_int bracket_ops
   in
-  (* Plane-off measurements first: once a sampler starts, the watchdog
-     clock is live for the rest of the process.  The off-side runs keep
-     an inert sleeper domain alive so both sides of the A/B pay the
-     runtime's second-domain tax — measured at ~40 ns/op on fenced-store
-     loops on this 1-CPU container even when the extra domain only
-     sleeps — and the comparison isolates the metrics plane itself. *)
+  (* Alternating rounds.  Each round times one run with the plane off
+     (an inert sleeper domain, watchdog clock at zero) and one with it
+     on (sampler running, clock live), in ABBA order, and
+     [Watchdog.pause] puts the clock back to zero before every off
+     side.  The off side keeps the sleeper so both sides pay the
+     runtime's second-domain tax (about 40 ns/op on fenced-store loops
+     even when the extra domain only sleeps) and the comparison
+     isolates the metrics plane itself.  The gate takes the median of
+     the per-round overheads: one off block followed by one on block
+     let drift across the run (a shared host's neighbours, frequency
+     changes) read as up to 36% overhead, while two runs taken back to
+     back see little of it.  The bracket columns keep each side's best
+     run. *)
   let bracket_idle_ns = best_of reps bracket_ns_per_op in
-  let stop_ctl = Atomic.make false in
-  let ctl =
-    Domain.spawn (fun () ->
-        while not (Atomic.get stop_ctl) do
-          Unix.sleepf 0.005
-        done)
-  in
-  let off_ns = best_of reps time_ns_per_op in
-  let bracket_off_ns = best_of reps bracket_ns_per_op in
-  Atomic.set stop_ctl true;
-  Domain.join ctl;
   let sink = Obs.Sink.make () in
+  let rounds = 31 in
+  let offs = Array.make rounds 0. and ons = Array.make rounds 0. in
+  let bracket_off_ns = ref infinity and bracket_on_ns = ref infinity in
+  let measure_off r =
+    if Obs.Watchdog.tick () <> 0 then
+      failwith "metrics bench: plane-off round with a live watchdog clock";
+    let stop_ctl = Atomic.make false in
+    let ctl =
+      Domain.spawn (fun () ->
+          while not (Atomic.get stop_ctl) do
+            Unix.sleepf 0.005
+          done)
+    in
+    offs.(r) <- time_ns_per_op ();
+    bracket_off_ns := Float.min !bracket_off_ns (bracket_ns_per_op ());
+    Atomic.set stop_ctl true;
+    Domain.join ctl
+  in
+  let measure_on r =
+    let sampler =
+      Obs.Sampler.start ~interval:0.005 ~registry:Obs.Metrics.default ~sink ()
+    in
+    ons.(r) <- time_ns_per_op ();
+    bracket_on_ns := Float.min !bracket_on_ns (bracket_ns_per_op ());
+    Obs.Sampler.stop sampler;
+    Obs.Watchdog.pause ()
+  in
+  for r = 0 to rounds - 1 do
+    if r land 1 = 0 then begin
+      measure_off r;
+      measure_on r
+    end
+    else begin
+      measure_on r;
+      measure_off r
+    end
+  done;
+  let median a =
+    let a = Array.copy a in
+    Array.sort compare a;
+    a.(Array.length a / 2)
+  in
+  let off_ns = median offs and on_ns = median ons in
+  let round_pct =
+    Array.init rounds (fun r ->
+        100. *. (ons.(r) -. offs.(r)) /. Float.max 1e-9 offs.(r))
+  in
+  let overhead_pct = Float.max 0. (median round_pct) in
+  Format.printf "  per-round sampler overhead %%: %s@."
+    (String.concat " "
+       (Array.to_list (Array.map (Printf.sprintf "%+.1f") round_pct)));
+  let bracket_off_ns = !bracket_off_ns and bracket_on_ns = !bracket_on_ns in
   let sampler =
     Obs.Sampler.start ~interval:0.005 ~registry:Obs.Metrics.default ~sink ()
-  in
-  let on_ns = best_of reps time_ns_per_op in
-  let bracket_on_ns = best_of reps bracket_ns_per_op in
-  let overhead_pct =
-    Float.max 0. (100. *. (on_ns -. off_ns) /. Float.max 1e-9 off_ns)
   in
   (* hot-path allocation audit (the acceptance gate).  The guard loop
      here is the bare begin/end bracket — the part the watchdog added
@@ -1220,12 +1265,21 @@ let ad_phase_dur = if smoke then 0.1 else 0.2
 (* One churn phase on the calling thread: swap fresh nodes into the
    table, retire the evictees ([extra] additional retires per op models
    the burst phase), tick the controller and sample the unreclaimed
-   high-water mark every 64 ops. *)
+   high-water mark every 64 ops.  The adaptive contestant's armed
+   reclaimer can neutralize this thread too, when the host preempts it
+   inside a guard: a neutralized read abandons the op before it
+   publishes anything, and a neutralized retire (raised before it acts)
+   is retried, as the chaos batteries do. *)
 let ad_churn api table alloc ~tid ~extra =
   let rng = ref 0x9E3779B9 in
   let next_slot () =
     rng := (!rng * 1103515245) + 12345;
     (!rng lsr 16) land 7
+  in
+  let rec retire_out o =
+    match api.aa_retire ~tid o with
+    | () -> ()
+    | exception Reclaim.Neutralize.Neutralized _ -> retire_out o
   in
   let ops = ref 0 and hwm = ref 0 in
   let t0 = Unix.gettimeofday () in
@@ -1234,18 +1288,24 @@ let ad_churn api table alloc ~tid ~extra =
     incr ops;
     api.aa_begin ~tid;
     (* paper-style read-mostly mix: two protected reads, one update *)
-    api.aa_get ~tid table.(next_slot ());
-    api.aa_get ~tid table.(next_slot ());
-    let n = { s_hdr = Memdom.Alloc.hdr alloc () } in
-    api.aa_protect ~tid (Some n);
-    let old = Atomicx.Link.exchange table.(next_slot ()) (Atomicx.Link.Ptr n) in
-    api.aa_end ~tid;
-    (match Atomicx.Link.target old with
-    | Some o -> api.aa_retire ~tid o
-    | None -> ());
-    for _ = 1 to extra do
-      api.aa_retire ~tid { s_hdr = Memdom.Alloc.hdr alloc () }
-    done;
+    (match
+       api.aa_get ~tid table.(next_slot ());
+       api.aa_get ~tid table.(next_slot ())
+     with
+    | exception Reclaim.Neutralize.Neutralized _ -> api.aa_end ~tid
+    | () ->
+        let n = { s_hdr = Memdom.Alloc.hdr alloc () } in
+        api.aa_protect ~tid (Some n);
+        let old =
+          Atomicx.Link.exchange table.(next_slot ()) (Atomicx.Link.Ptr n)
+        in
+        api.aa_end ~tid;
+        (match Atomicx.Link.target old with
+        | Some o -> retire_out o
+        | None -> ());
+        for _ = 1 to extra do
+          retire_out { s_hdr = Memdom.Alloc.hdr alloc () }
+        done);
     if !ops land 255 = 0 then begin
       hwm := max !hwm (api.aa_unreclaimed ());
       if !ops land 511 = 0 then api.aa_tick ()

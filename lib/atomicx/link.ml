@@ -2,9 +2,10 @@
 
    - Boxed: the historical ['a state Atomic.t] — every read returns a
      heap-allocated variant box, CAS compares boxes physically.
-   - Tagged: an [int Atomic.t] holding the target's arena slot shifted
-     left 3 plus mark/flag/tag bits, with Null = 0 and Poison = 1 —
-     the C++ original's word-tagged pointer, CAS compares values.
+   - Tagged: an int word, in field 0 of the link block itself, holding
+     the target's arena slot shifted left 3 plus mark/flag/tag bits,
+     with Null = 0 and Poison = 1 — the C++ original's word-tagged
+     pointer, CAS compares values.
 
    The representation is chosen per structure: links made through
    [make_in arena] follow the arena's snapshot of [!tagged]; links made
@@ -214,35 +215,48 @@ let decode a w =
 
 (* {2 Links} *)
 
+(* A tagged link is one block: the word sits in field 0 of the [T]
+   block itself rather than in a separate [int Atomic.t], so a hop reads
+   one block for the link, not two.  [Atomic] operations act on field 0
+   of whatever block they are given, which makes the [T] block its own
+   [int Atomic.t]; [tw] is the only way the word is reached.  The field
+   is [mutable] so the compiler never treats the block as immutable, and
+   nothing reads it non-atomically (OCaml >= 5.4 spells this as an
+   [@atomic] record field). *)
 type 'a t =
   | B of 'a state Atomic.t
-  | T of { word : int Atomic.t; arena : 'a arena }
+  | T of { mutable word : int; arena : 'a arena } [@warning "-69"]
 
+let tw (l : 'a t) : int Atomic.t = Obj.magic l
 let make st = B (Atomic.make st)
 
 let make_in a st =
-  if a.use_tagged then T { word = Atomic.make (encode a st); arena = a }
+  if a.use_tagged then T { word = encode a st; arena = a }
   else B (Atomic.make st)
 
-let get = function B l -> Atomic.get l | T { word; arena } -> decode arena (Atomic.get word)
+let get l =
+  match l with
+  | B b -> Atomic.get b
+  | T { arena; _ } -> decode arena (Atomic.get (tw l))
 
 let set l st =
   match l with
-  | B l -> Atomic.set l st
-  | T { word; arena } -> Atomic.set word (encode arena st)
+  | B b -> Atomic.set b st
+  | T { arena; _ } -> Atomic.set (tw l) (encode arena st)
 
 let cas l expected desired =
   match l with
-  | B l -> Atomic.compare_and_set l expected desired
-  | T { word; arena } ->
+  | B b -> Atomic.compare_and_set b expected desired
+  | T { arena; _ } ->
       (* genuine word compare-and-set: any state with the same target
          and bits matches, whatever box it came from *)
-      Atomic.compare_and_set word (encode arena expected) (encode arena desired)
+      Atomic.compare_and_set (tw l) (encode arena expected)
+        (encode arena desired)
 
 let exchange l st =
   match l with
-  | B l -> Atomic.exchange l st
-  | T { word; arena } -> decode arena (Atomic.exchange word (encode arena st))
+  | B b -> Atomic.exchange b st
+  | T { arena; _ } -> decode arena (Atomic.exchange (tw l) (encode arena st))
 
 let target = function
   | Null | Poison -> None
@@ -296,13 +310,15 @@ type 'a view = Obj.t
 
 let view = function
   | B l -> Obj.repr (Atomic.get l)
-  | T { word; _ } -> Obj.repr (Atomic.get word)
+  | T _ as l -> Obj.repr (Atomic.get (tw l))
 
 let view_eq (a : 'a view) (b : 'a view) = a == b
 let v_null : 'a view = Obj.repr 0
 let v_is_null (v : 'a view) = v == Obj.repr Null
 let v_is_poison (v : 'a view) = v == Obj.repr Poison
 let v_is_word (v : 'a view) = Obj.is_int v
+
+let v_addr (v : 'a view) = (Obj.obj v : int) land lnot 7
 
 let v_has_target (v : 'a view) =
   if Obj.is_int v then (Obj.obj v : int) >= 8 else true
@@ -431,7 +447,7 @@ let repr_for l (v : 'a view) : Obj.t =
 let set_v l (v : 'a view) =
   match l with
   | B b -> Atomic.set b (Obj.obj (repr_for l v))
-  | T { word; _ } -> Atomic.set word (Obj.obj (repr_for l v))
+  | T _ -> Atomic.set (tw l) (Obj.obj (repr_for l v))
 
 let cas_v l (expected : 'a view) (desired : 'a view) =
   match l with
@@ -441,15 +457,15 @@ let cas_v l (expected : 'a view) (desired : 'a view) =
       Atomic.compare_and_set b
         (Obj.obj (repr_for l expected))
         (Obj.obj (repr_for l desired))
-  | T { word; _ } ->
-      Atomic.compare_and_set word
+  | T _ ->
+      Atomic.compare_and_set (tw l)
         (Obj.obj (repr_for l expected))
         (Obj.obj (repr_for l desired))
 
 let exchange_v l (v : 'a view) : 'a view =
   match l with
   | B b -> Obj.repr (Atomic.exchange b (Obj.obj (repr_for l v)))
-  | T { word; _ } -> Obj.repr (Atomic.exchange word (Obj.obj (repr_for l v)))
+  | T _ -> Obj.repr (Atomic.exchange (tw l) (Obj.obj (repr_for l v)))
 
 let make_of_view a (v : 'a view) =
   if a.use_tagged then
@@ -457,5 +473,5 @@ let make_of_view a (v : 'a view) =
       if Obj.is_int v then (Obj.obj v : int)
       else encode a (Obj.obj v : _ state)
     in
-    T { word = Atomic.make w; arena = a }
+    T { word = w; arena = a }
   else B (Atomic.make (v_state_in (Some a) v))

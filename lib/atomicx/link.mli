@@ -5,9 +5,10 @@
     bits carry deletion marks and whose CAS compares machine words.
     Historically this library rendered that as a boxed variant
     ([state]) in an [Atomic.t]; since the word-packing PR a link can
-    also be a {e tagged immediate}: one [int Atomic.t] holding the
-    target's arena-slot index shifted left 3 with the mark/flag/tag
-    bits in the low bits ([Null] = 0, [Poison] = 1).  The tagged form
+    also be a {e tagged immediate}: one atomic int word, stored in the
+    link block itself, holding the target's arena-slot index shifted
+    left 3 with the mark/flag/tag bits in the low bits ([Null] = 0,
+    [Poison] = 1).  The tagged form
     is what the paper's O(1) cost model assumes — reads allocate
     nothing and CAS is a genuine word compare-and-set.
 
@@ -155,6 +156,12 @@ val v_has_target : 'a view -> bool
 val v_is_word : 'a view -> bool
 (** [true] iff the view is a tagged word (always [false] for views of
     boxed links). *)
+
+val v_addr : 'a view -> int
+(** The target's arena address of a word view with a target: the word
+    with its mark/flag/tag bits cleared, [(slot + 1) lsl 3].  It names
+    the arena slot, not the node: once the node is freed the slot may
+    hold another.  Only meaningful when [v_is_word v && v_has_target v]. *)
 
 val v_clean : 'a view -> 'a view
 (** Strip mark/flag/tag.  Pure arithmetic on words; allocates the clean

@@ -45,6 +45,18 @@ let max_haz = 64
 
 exception Out_of_hazard_indexes
 
+(* The int hazard plane of a slot holds one of: [addr_empty]; the clean
+   arena address [(slot + 1) lsl 3] of a word view, published by [load]
+   with no dereference; or, in the scratch slot 0 only, a node's uid key
+   [uid lsl 3 lor 7].  Word encodings never end in 7, so the two kinds
+   of key never collide.  A scan matches both keys of the node it is
+   retiring: an address pins whatever node occupies that arena slot,
+   because a retired node's slot is released only by its free, after
+   the scan found it unprotected. *)
+let addr_empty = -1
+let addr_key h = (h.Memdom.Hdr.slot + 1) lsl 3
+let uid_key h = (h.Memdom.Hdr.uid lsl 3) lor 7
+
 module type NODE = sig
   type t
 
@@ -61,10 +73,10 @@ module Make (N : NODE) = struct
 
   type tl_info = {
     hp : node option Atomic.t array; (* published hazardous pointers *)
-    (* companion uid plane for tagged links: [load] on a word view
-       publishes the target's uid here instead of boxing a [Some]
-       (-1 = empty; uid 0 is a real uid).  Scans consult both planes. *)
-    hp_uid : int Atomic.t array;
+    (* companion address plane for tagged links: [load] on a word view
+       publishes the target's arena address here instead of boxing a
+       [Some] (see [addr_key]).  Scans consult both planes. *)
+    hp_addr : int Atomic.t array;
     handovers : node option Atomic.t array;
     used_haz : int array; (* orc_ptr share counts; owner-thread only *)
     free_idx : Bitmask.t; (* taken hazard indexes; owner-thread only *)
@@ -168,11 +180,12 @@ module Make (N : NODE) = struct
     }
 
   (* Scratch protection in hazard slot 0 for the duration of a count
-     update.  The uid plane is used because publishing there allocates
-     nothing; scans match a uid exactly like the node itself (uids never
-     repeat, and [p] is alive — a hard link or BRETIRED holds it — so
-     its uid is stable while published). *)
-  let protect_scratch tl p = Atomic.set tl.hp_uid.(0) (N.hdr p).Memdom.Hdr.uid
+     update.  It publishes the uid key rather than an address because
+     [p] may belong to a boxed structure with no arena slot; scans match
+     a uid exactly like the node itself (uids never repeat, and [p] is
+     alive — a hard link or BRETIRED holds it — so its uid is stable
+     while published). *)
+  let protect_scratch tl p = Atomic.set tl.hp_addr.(0) (uid_key (N.hdr p))
 
   let note_retired t ~tid n =
     let h = N.hdr n in
@@ -205,7 +218,8 @@ module Make (N : NODE) = struct
     let began = Obs.Sink.scan_begin t.sink in
     let wm = Atomic.get t.watermark in
     let nreg = Registry.registered () in
-    let pu = (N.hdr p).Memdom.Hdr.uid in
+    let h = N.hdr p in
+    let pa = addr_key h and pk = uid_key h in
     let visited = ref 0 in
     let result = ref None in
     (try
@@ -215,7 +229,8 @@ module Make (N : NODE) = struct
            for idx = 0 to wm - 1 do
              incr visited;
              let hit =
-               Atomic.get tl.hp_uid.(idx) = pu
+               (let a = Atomic.get tl.hp_addr.(idx) in
+                a = pa || a = pk)
                ||
                match Atomic.get tl.hp.(idx) with
                | Some m -> m == p
@@ -224,7 +239,7 @@ module Make (N : NODE) = struct
              if hit then begin
                result := Some (Atomic.exchange tl.handovers.(idx) (Some p));
                Shard.incr t.n_handovers ~tid;
-               Obs.Sink.on_handover t.sink ~tid ~uid:pu;
+               Obs.Sink.on_handover t.sink ~tid ~uid:h.Memdom.Hdr.uid;
                raise_notrace Exit
              end
            done
@@ -252,7 +267,7 @@ module Make (N : NODE) = struct
       && Atomic.compare_and_set (orc_word p) lorc (lorc + bretired)
     in
     if reclaimed then note_retired t ~tid p;
-    Atomic.set tl.hp_uid.(0) (-1);
+    Atomic.set tl.hp_addr.(0) addr_empty;
     if reclaimed then lorc + bretired else 0
 
   (* The destructor: drop the node's outgoing hard links (each drop may
@@ -357,10 +372,10 @@ module Make (N : NODE) = struct
       (* Drop the scratch protection before retiring: BRETIRED ownership
          keeps [p] alive inside retire, and a live scratch hazard would
          make the scan hand [p] to ourselves. *)
-      Atomic.set tl.hp_uid.(0) (-1);
+      Atomic.set tl.hp_addr.(0) addr_empty;
       submit_retire t ~tid p
     end
-    else Atomic.set tl.hp_uid.(0) (-1)
+    else Atomic.set tl.hp_addr.(0) addr_empty
 
   (* An orc_ptr stopped referencing [p] (Algorithm 5 lines 84–89): if its
      count sits at zero, claim BRETIRED and retire it. *)
@@ -400,7 +415,7 @@ module Make (N : NODE) = struct
     let wm = Atomic.get t.watermark in
     for idx = 0 to wm - 1 do
       Atomic.set tl.hp.(idx) None;
-      Atomic.set tl.hp_uid.(idx) (-1)
+      Atomic.set tl.hp_addr.(idx) addr_empty
     done;
     Array.fill tl.used_haz 0 (Array.length tl.used_haz) 0;
     Bitmask.reset tl.free_idx;
@@ -435,7 +450,7 @@ module Make (N : NODE) = struct
 
   (* Neutralize hook (registered with [Registry.on_neutralize] by
      [create]): expire a stalled tid's protections.  Only the row's
-     {e atomic} planes are touched — hazards and uids come down so no
+     {e atomic} planes are touched — both hazard planes come down so no
      scan can hand anything new to the row, then the parked handovers
      (sole ownership via exchange) are retired under the neutralizer's
      own tid.  Owner-private plain state (used_haz, free_idx, the
@@ -448,7 +463,7 @@ module Make (N : NODE) = struct
     let wm = Atomic.get t.watermark in
     for idx = 0 to wm - 1 do
       Atomic.set tl.hp.(idx) None;
-      Atomic.set tl.hp_uid.(idx) (-1)
+      Atomic.set tl.hp_addr.(idx) addr_empty
     done;
     let self = Registry.tid () in
     for idx = 0 to wm - 1 do
@@ -471,7 +486,7 @@ module Make (N : NODE) = struct
       ignore (Bitmask.acquire free_idx ~from:0);
       {
         hp = Padded.atomic_array max_haz None;
-        hp_uid = Padded.atomic_array max_haz (-1);
+        hp_addr = Padded.atomic_array max_haz addr_empty;
         handovers = Padded.atomic_array max_haz None;
         used_haz = Array.make max_haz 0;
         free_idx;
@@ -561,9 +576,9 @@ module Make (N : NODE) = struct
      row — neutralize, quarantine and [flush] only ever write the empty
      value — so an empty read by the owner cannot be undone behind its
      back.  Owner-thread only. *)
-  let unpublish slot uid_slot =
+  let unpublish slot addr_slot =
     (match Atomic.get slot with Some _ -> Atomic.set slot None | None -> ());
-    if Atomic.get uid_slot <> -1 then Atomic.set uid_slot (-1)
+    if Atomic.get addr_slot <> addr_empty then Atomic.set addr_slot addr_empty
 
   (* clear (Algorithm 5 lines 80–90) extended with the handover drain:
      release one share of hazard slot [idx]; when the slot becomes free,
@@ -585,7 +600,7 @@ module Make (N : NODE) = struct
     in
     if released then begin
       Bitmask.release tl.free_idx idx;
-      unpublish tl.hp.(idx) tl.hp_uid.(idx);
+      unpublish tl.hp.(idx) tl.hp_addr.(idx);
       drain_handover t ~tid idx
     end;
     if had then maybe_retire t ~tid p
@@ -681,37 +696,30 @@ module Make (N : NODE) = struct
      The protect loop lives at functor level with its free variables as
      arguments: an inner [let rec] would allocate its closure on every
      load, spoiling the allocation-free word path. *)
-  let rec load_loop t ~tid slot uid_slot link v =
+  let rec load_loop t ~tid slot addr_slot link v =
     if not (Link.v_has_target v) then begin
-      unpublish slot uid_slot;
+      unpublish slot addr_slot;
       let v' = Link.view link in
-      if Link.view_eq v' v then v else load_loop t ~tid slot uid_slot link v'
+      if Link.view_eq v' v then v else load_loop t ~tid slot addr_slot link v'
     end
     else if Link.v_is_word v then begin
-      (* allocation-free publish: the target's uid goes to the uid
-         plane, and the validation re-derefs the word — value-equal
-         words do not guarantee a stable slot meaning (see hp.ml) *)
-      let n = Link.v_target_exn link v in
-      let u = (N.hdr n).Memdom.Hdr.uid in
-      if !Reclaim.Scan_set.elide_publish && Atomic.get uid_slot = u then begin
-        Shard.incr t.n_elided ~tid;
-        Obs.Sink.on_elide t.sink ~tid;
-        let v' = Link.view link in
-        if Link.view_eq v' v then v else load_loop t ~tid slot uid_slot link v'
-      end
-      else begin
-        Atomic.set uid_slot u;
-        (match Atomic.get slot with
-        | Some _ -> Atomic.set slot None
-        | None -> ());
-        let v' = Link.view link in
-        if
-          Link.view_eq v' v
-          && Link.v_target_exn link v == n
-          && (N.hdr n).Memdom.Hdr.uid = u
-        then v
-        else load_loop t ~tid slot uid_slot link v'
-      end
+      (* allocation-free publish of the word's arena address, with no
+         dereference (Algorithm 2 publishes the pointer it read).  The
+         address pins whatever node occupies the slot, so the link still
+         holding the same word validates the protection by itself; a
+         stale publish merely protects the slot's next occupant, which
+         is only dereferenced after a validation succeeds. *)
+      let a = Link.v_addr v in
+      (if !Reclaim.Scan_set.elide_publish && Atomic.get addr_slot = a then begin
+         Shard.incr t.n_elided ~tid;
+         Obs.Sink.on_elide t.sink ~tid
+       end
+       else begin
+         Atomic.set addr_slot a;
+         match Atomic.get slot with Some _ -> Atomic.set slot None | None -> ()
+       end);
+      let v' = Link.view link in
+      if Link.view_eq v' v then v else load_loop t ~tid slot addr_slot link v'
     end
     else begin
       let n = Link.v_target_exn link v in
@@ -726,7 +734,7 @@ module Make (N : NODE) = struct
        end
        else Atomic.set slot (Some n));
       let v' = Link.view link in
-      if Link.view_eq v' v then v else load_loop t ~tid slot uid_slot link v'
+      if Link.view_eq v' v then v else load_loop t ~tid slot addr_slot link v'
     end
 
   let load g link p =
@@ -739,21 +747,22 @@ module Make (N : NODE) = struct
        after the overwrite the old word may stop meaning this node *)
     let old_n = if had_old then target_of t old else no_node in
     p.v <-
-      load_loop t ~tid tl.hp.(p.idx) tl.hp_uid.(p.idx) link (Link.view link);
+      load_loop t ~tid tl.hp.(p.idx) tl.hp_addr.(p.idx) link (Link.view link);
     if had_old && not (Link.v_same old p.v) then maybe_retire t ~tid old_n
 
-  (* Publish [n], the target of view [v], in hazard slot [idx] on the
-     plane matching [v]'s representation: a word view goes to the uid
-     plane (no box), a boxed view to the node plane.  The other plane
-     is cleared, keeping the two coherent. *)
-  let publish tl idx v n =
+  (* Publish the target of view [v] in hazard slot [idx] on the plane
+     matching [v]'s representation: a word view's arena address goes to
+     the address plane (no box, no dereference), a boxed view's node to
+     the node plane.  The other plane is cleared, keeping the two
+     coherent. *)
+  let publish t tl idx v =
     if Link.v_is_word v then begin
-      Atomic.set tl.hp_uid.(idx) (N.hdr n).Memdom.Hdr.uid;
+      Atomic.set tl.hp_addr.(idx) (Link.v_addr v);
       Atomic.set tl.hp.(idx) None
     end
     else begin
-      Atomic.set tl.hp.(idx) (Some n);
-      Atomic.set tl.hp_uid.(idx) (-1)
+      Atomic.set tl.hp.(idx) (Some (target_of t v));
+      Atomic.set tl.hp_addr.(idx) addr_empty
     end
 
   (* orc_ptr assignment (Algorithm 7 lines 182–194): copies between
@@ -772,8 +781,8 @@ module Make (N : NODE) = struct
            planes coherent; src's own slot protects the target across
            this window *)
         if not (Link.v_has_target src.v) then
-          unpublish tl.hp.(dst.idx) tl.hp_uid.(dst.idx)
-        else publish tl dst.idx src.v (target_of g.t src.v)
+          unpublish tl.hp.(dst.idx) tl.hp_addr.(dst.idx)
+        else publish g.t tl dst.idx src.v
       end
       else begin
         using_idx g.t ~tid:g.tid src.idx;
@@ -797,7 +806,7 @@ module Make (N : NODE) = struct
     let n = run_mk g mk hdr in
     let p = ptr g in
     p.v <- v_ptr g.t n;
-    publish g.row p.idx p.v n;
+    publish g.t g.row p.idx p.v;
     p
 
   (* make_orc into an existing handle, for loops that allocate many nodes
@@ -811,7 +820,7 @@ module Make (N : NODE) = struct
     let had_old = Link.v_has_target old in
     let old_n = if had_old then target_of g.t old else no_node in
     p.v <- v_ptr g.t n;
-    publish g.row p.idx p.v n;
+    publish g.t g.row p.idx p.v;
     if had_old && not (old_n == n) then maybe_retire g.t ~tid:g.tid old_n;
     n
 
@@ -937,12 +946,13 @@ module Make (N : NODE) = struct
            tl.used_haz.(idx) <- tl.used_haz.(idx) - 1;
            if tl.used_haz.(idx) = 0 then begin
              Bitmask.release tl.free_idx idx;
-             unpublish tl.hp.(idx) tl.hp_uid.(idx);
+             unpublish tl.hp.(idx) tl.hp_addr.(idx);
              drain_handover t ~tid idx
            end
          end
        done);
-    if Atomic.get tl.hp_uid.(0) <> -1 then Atomic.set tl.hp_uid.(0) (-1);
+    if Atomic.get tl.hp_addr.(0) <> addr_empty then
+      Atomic.set tl.hp_addr.(0) addr_empty;
     drain_handover t ~tid 0;
     Obs.Sink.guard_end t.sink ~tid;
     Obs.Watchdog.leave t.wd ~tid
@@ -969,7 +979,7 @@ module Make (N : NODE) = struct
     for it = 0 to nreg - 1 do
       for idx = 0 to wm - 1 do
         Atomic.set t.tl.(it).hp.(idx) None;
-        Atomic.set t.tl.(it).hp_uid.(idx) (-1)
+        Atomic.set t.tl.(it).hp_addr.(idx) addr_empty
       done
     done;
     for it = 0 to nreg - 1 do

@@ -42,6 +42,28 @@ val retired_zero : int
 val max_haz : int
 (** Capacity of each thread's hazard-pointer array. *)
 
+(** {2 The address plane}
+
+    Besides a node plane, each hazard slot has an int plane.  [load] on
+    a tagged link publishes there the target's clean arena address —
+    the link word with its mark bits cleared — without dereferencing
+    it, as the paper's [get_protected] publishes the pointer it read.
+    The scratch slot 0 publishes a uid key instead.  A scan that
+    retires a node matches a slot against both of the node's keys. *)
+
+val addr_empty : int
+(** The empty value of an int hazard slot. *)
+
+val addr_key : Memdom.Hdr.t -> int
+(** [(slot + 1) lsl 3]: the clean word of every tagged link to the node.
+    A published address pins whatever node occupies that arena slot,
+    because a retired node's slot is released only by its free, which
+    comes after the scan. *)
+
+val uid_key : Memdom.Hdr.t -> int
+(** [uid lsl 3 lor 7], the scratch slot's key.  Link words never end in
+    7, so it never equals an address. *)
+
 exception Out_of_hazard_indexes
 (** Raised when one operation holds more than {!max_haz} live pointer
     handles — a bug in the data structure, not a runtime condition. *)

@@ -28,16 +28,18 @@ let orc_zero = Orc.orc_zero
 let ocnt = Orc.ocnt
 let retired_zero = Orc.retired_zero
 let max_haz = Orc.max_haz
+let addr_empty = Orc.addr_empty
+let addr_key = Orc.addr_key
+let uid_key = Orc.uid_key
 
 module Make (N : Orc.NODE) = struct
   type node = N.t
 
   type tl_info = {
     hp : node option Atomic.t array;
-    (* companion uid plane for tagged links: [load] on a word view
-       publishes the target's uid here instead of boxing a [Some]
-       (-1 = empty; uid 0 is a real uid).  Scans consult both planes. *)
-    hp_uid : int Atomic.t array;
+    (* companion address plane for tagged links, as in {!Orc} (see
+       [Orc.addr_key]).  Scans consult both planes. *)
+    hp_addr : int Atomic.t array;
     used_haz : int array;
     free_idx : Bitmask.t;
     mutable retired : node list;
@@ -119,7 +121,7 @@ module Make (N : Orc.NODE) = struct
        end
 
   (* Allocation-free scratch protection in slot 0, as in {!Orc}. *)
-  let protect_scratch tl p = Atomic.set tl.hp_uid.(0) (N.hdr p).Memdom.Hdr.uid
+  let protect_scratch tl p = Atomic.set tl.hp_addr.(0) (uid_key (N.hdr p))
 
   let note_retired t ~tid n =
     let h = N.hdr n in
@@ -136,7 +138,8 @@ module Make (N : Orc.NODE) = struct
 
   let protected_by_any t ~visited p =
     let wm = Atomic.get t.watermark in
-    let pu = (N.hdr p).Memdom.Hdr.uid in
+    let h = N.hdr p in
+    let pa = addr_key h and pk = uid_key h in
     let found = ref false in
     (try
        (* rows whose registry slot is Free cannot hold a protection —
@@ -148,8 +151,10 @@ module Make (N : Orc.NODE) = struct
            for idx = 0 to wm - 1 do
              incr visited;
              let hit =
-               (* uids never repeat, so uid equality is node identity *)
-               Atomic.get tl.hp_uid.(idx) = pu
+               (* an address pins its slot's occupant, and uids never
+                  repeat: either key match protects [p] *)
+               (let a = Atomic.get tl.hp_addr.(idx) in
+                a = pa || a = pk)
                ||
                match Atomic.get tl.hp.(idx) with
                | Some m -> m == p
@@ -177,7 +182,7 @@ module Make (N : Orc.NODE) = struct
       && Atomic.compare_and_set (orc_word p) lorc (lorc + bretired)
     in
     if reclaimed then note_retired t ~tid p;
-    Atomic.set tl.hp_uid.(0) (-1);
+    Atomic.set tl.hp_addr.(0) addr_empty;
     if reclaimed then lorc + bretired else 0
 
   (* Retiring = parking on the thread-local list; reclamation happens in
@@ -272,10 +277,10 @@ module Make (N : Orc.NODE) = struct
       && Atomic.compare_and_set (orc_word p) lorc (lorc + bretired)
     then begin
       note_retired t ~tid p;
-      Atomic.set tl.hp_uid.(0) (-1);
+      Atomic.set tl.hp_addr.(0) addr_empty;
       retire t ~tid p
     end
-    else Atomic.set tl.hp_uid.(0) (-1)
+    else Atomic.set tl.hp_addr.(0) addr_empty
 
   let maybe_retire t ~tid p =
     let lorc = Atomic.get (orc_word p) in
@@ -298,7 +303,7 @@ module Make (N : Orc.NODE) = struct
     let wm = Atomic.get t.watermark in
     for idx = 0 to wm - 1 do
       Atomic.set tl.hp.(idx) None;
-      Atomic.set tl.hp_uid.(idx) (-1)
+      Atomic.set tl.hp_addr.(idx) addr_empty
     done;
     Array.fill tl.used_haz 0 (Array.length tl.used_haz) 0;
     Bitmask.reset tl.free_idx;
@@ -327,7 +332,7 @@ module Make (N : Orc.NODE) = struct
     let wm = Atomic.get t.watermark in
     for idx = 0 to wm - 1 do
       Atomic.set tl.hp.(idx) None;
-      Atomic.set tl.hp_uid.(idx) (-1)
+      Atomic.set tl.hp_addr.(idx) addr_empty
     done;
     (* the Active population just changed shape: re-derive R so the
        cached value does not linger at a stale width *)
@@ -348,7 +353,7 @@ module Make (N : Orc.NODE) = struct
       ignore (Bitmask.acquire free_idx ~from:0) (* scratch slot 0 *);
       {
         hp = Padded.atomic_array max_haz None;
-        hp_uid = Padded.atomic_array max_haz (-1);
+        hp_addr = Padded.atomic_array max_haz addr_empty;
         used_haz = Array.make max_haz 0;
         free_idx;
         retired = [];
@@ -420,9 +425,9 @@ module Make (N : Orc.NODE) = struct
 
   (* Empty one hazard slot, skipping an already-empty plane — safe for
      the owner alone, as in {!Orc}. *)
-  let unpublish slot uid_slot =
+  let unpublish slot addr_slot =
     (match Atomic.get slot with Some _ -> Atomic.set slot None | None -> ());
-    if Atomic.get uid_slot <> -1 then Atomic.set uid_slot (-1)
+    if Atomic.get addr_slot <> addr_empty then Atomic.set addr_slot addr_empty
 
   let clear t ~tid v idx ~reuse =
     let tl = t.tl.(tid) in
@@ -440,7 +445,7 @@ module Make (N : Orc.NODE) = struct
     in
     if released then begin
       Bitmask.release tl.free_idx idx;
-      unpublish tl.hp.(idx) tl.hp_uid.(idx)
+      unpublish tl.hp.(idx) tl.hp_addr.(idx)
     end;
     if had then maybe_retire t ~tid p
 
@@ -517,37 +522,30 @@ module Make (N : Orc.NODE) = struct
   (* The protect loop lives at functor level with its free variables as
      arguments: an inner [let rec] would allocate its closure on every
      load, spoiling the allocation-free word path. *)
-  let rec load_loop t ~tid slot uid_slot link v =
+  let rec load_loop t ~tid slot addr_slot link v =
     if not (Link.v_has_target v) then begin
-      unpublish slot uid_slot;
+      unpublish slot addr_slot;
       let v' = Link.view link in
-      if Link.view_eq v' v then v else load_loop t ~tid slot uid_slot link v'
+      if Link.view_eq v' v then v else load_loop t ~tid slot addr_slot link v'
     end
     else if Link.v_is_word v then begin
-      (* allocation-free publish: the target's uid goes to the uid
-         plane, and the validation re-derefs the word — value-equal
-         words do not guarantee a stable slot meaning (see hp.ml) *)
-      let n = Link.v_target_exn link v in
-      let u = (N.hdr n).Memdom.Hdr.uid in
-      if !Reclaim.Scan_set.elide_publish && Atomic.get uid_slot = u then begin
-        Shard.incr t.n_elided ~tid;
-        Obs.Sink.on_elide t.sink ~tid;
-        let v' = Link.view link in
-        if Link.view_eq v' v then v else load_loop t ~tid slot uid_slot link v'
-      end
-      else begin
-        Atomic.set uid_slot u;
-        (match Atomic.get slot with
-        | Some _ -> Atomic.set slot None
-        | None -> ());
-        let v' = Link.view link in
-        if
-          Link.view_eq v' v
-          && Link.v_target_exn link v == n
-          && (N.hdr n).Memdom.Hdr.uid = u
-        then v
-        else load_loop t ~tid slot uid_slot link v'
-      end
+      (* allocation-free publish of the word's arena address, with no
+         dereference (Algorithm 2 publishes the pointer it read).  The
+         address pins whatever node occupies the slot, so the link still
+         holding the same word validates the protection by itself; a
+         stale publish merely protects the slot's next occupant, which
+         is only dereferenced after a validation succeeds. *)
+      let a = Link.v_addr v in
+      (if !Reclaim.Scan_set.elide_publish && Atomic.get addr_slot = a then begin
+         Shard.incr t.n_elided ~tid;
+         Obs.Sink.on_elide t.sink ~tid
+       end
+       else begin
+         Atomic.set addr_slot a;
+         match Atomic.get slot with Some _ -> Atomic.set slot None | None -> ()
+       end);
+      let v' = Link.view link in
+      if Link.view_eq v' v then v else load_loop t ~tid slot addr_slot link v'
     end
     else begin
       let n = Link.v_target_exn link v in
@@ -562,7 +560,7 @@ module Make (N : Orc.NODE) = struct
        end
        else Atomic.set slot (Some n));
       let v' = Link.view link in
-      if Link.view_eq v' v then v else load_loop t ~tid slot uid_slot link v'
+      if Link.view_eq v' v then v else load_loop t ~tid slot addr_slot link v'
     end
 
   let load g link p =
@@ -575,21 +573,22 @@ module Make (N : Orc.NODE) = struct
        after the overwrite the old word may stop meaning this node *)
     let old_n = if had_old then target_of t old else no_node in
     p.v <-
-      load_loop t ~tid tl.hp.(p.idx) tl.hp_uid.(p.idx) link (Link.view link);
+      load_loop t ~tid tl.hp.(p.idx) tl.hp_addr.(p.idx) link (Link.view link);
     if had_old && not (Link.v_same old p.v) then maybe_retire t ~tid old_n
 
-  (* Publish [n], the target of view [v], in hazard slot [idx] on the
-     plane matching [v]'s representation: a word view goes to the uid
-     plane (no box), a boxed view to the node plane.  The other plane
-     is cleared, keeping the two coherent. *)
-  let publish tl idx v n =
+  (* Publish the target of view [v] in hazard slot [idx] on the plane
+     matching [v]'s representation: a word view's arena address goes to
+     the address plane (no box, no dereference), a boxed view's node to
+     the node plane.  The other plane is cleared, keeping the two
+     coherent. *)
+  let publish t tl idx v =
     if Link.v_is_word v then begin
-      Atomic.set tl.hp_uid.(idx) (N.hdr n).Memdom.Hdr.uid;
+      Atomic.set tl.hp_addr.(idx) (Link.v_addr v);
       Atomic.set tl.hp.(idx) None
     end
     else begin
-      Atomic.set tl.hp.(idx) (Some n);
-      Atomic.set tl.hp_uid.(idx) (-1)
+      Atomic.set tl.hp.(idx) (Some (target_of t v));
+      Atomic.set tl.hp_addr.(idx) addr_empty
     end
 
   let assign g dst src =
@@ -604,8 +603,8 @@ module Make (N : Orc.NODE) = struct
            planes coherent; src's own slot protects the target across
            this window *)
         if not (Link.v_has_target src.v) then
-          unpublish tl.hp.(dst.idx) tl.hp_uid.(dst.idx)
-        else publish tl dst.idx src.v (target_of g.t src.v)
+          unpublish tl.hp.(dst.idx) tl.hp_addr.(dst.idx)
+        else publish g.t tl dst.idx src.v
       end
       else begin
         using_idx g.t ~tid:g.tid src.idx;
@@ -626,7 +625,7 @@ module Make (N : Orc.NODE) = struct
     let n = run_mk g mk hdr in
     let p = ptr g in
     p.v <- v_ptr g.t n;
-    publish g.row p.idx p.v n;
+    publish g.t g.row p.idx p.v;
     p
 
   let alloc_node_into g p mk =
@@ -638,7 +637,7 @@ module Make (N : Orc.NODE) = struct
     let had_old = Link.v_has_target old in
     let old_n = if had_old then target_of g.t old else no_node in
     p.v <- v_ptr g.t n;
-    publish g.row p.idx p.v n;
+    publish g.t g.row p.idx p.v;
     if had_old && not (old_n == n) then maybe_retire g.t ~tid:g.tid old_n;
     n
 
@@ -745,11 +744,12 @@ module Make (N : Orc.NODE) = struct
            tl.used_haz.(idx) <- tl.used_haz.(idx) - 1;
            if tl.used_haz.(idx) = 0 then begin
              Bitmask.release tl.free_idx idx;
-             unpublish tl.hp.(idx) tl.hp_uid.(idx)
+             unpublish tl.hp.(idx) tl.hp_addr.(idx)
            end
          end
        done);
-    if Atomic.get tl.hp_uid.(0) <> -1 then Atomic.set tl.hp_uid.(0) (-1);
+    if Atomic.get tl.hp_addr.(0) <> addr_empty then
+      Atomic.set tl.hp_addr.(0) addr_empty;
     Obs.Sink.guard_end t.sink ~tid;
     Obs.Watchdog.leave t.wd ~tid
 
@@ -773,7 +773,7 @@ module Make (N : Orc.NODE) = struct
     for it = 0 to nreg - 1 do
       for idx = 0 to wm - 1 do
         Atomic.set t.tl.(it).hp.(idx) None;
-        Atomic.set t.tl.(it).hp_uid.(idx) (-1)
+        Atomic.set t.tl.(it).hp_addr.(idx) addr_empty
       done
     done;
     (* each round frees at least one level of any pending cascade chain,

@@ -20,7 +20,18 @@ let run ~threads ~duration ?(sample_every = 0.05) ?sampler ~worker () =
         Domain.spawn (fun () ->
             Registry.with_tid (fun tid ->
                 Barrier.wait barrier;
-                worker ~i ~tid ~stop:(fun () -> Atomic.get stop))))
+                (* The first poll always says "go on", so a worker the
+                   scheduler starts after a short window closed still
+                   records an operation. *)
+                let polled = ref false in
+                let stop () =
+                  if !polled then Atomic.get stop
+                  else begin
+                    polled := true;
+                    false
+                  end
+                in
+                worker ~i ~tid ~stop)))
   in
   Barrier.wait barrier;
   let t0 = Unix.gettimeofday () in
@@ -37,6 +48,9 @@ let run ~threads ~duration ?(sample_every = 0.05) ?sampler ~worker () =
   Atomic.set stop true;
   let elapsed = Unix.gettimeofday () -. t0 in
   let total_ops = List.fold_left (fun acc d -> acc + Domain.join d) 0 doms in
+  (* a last sample once the workers have stopped: a window shorter than
+     [sample_every] is still observed after its operations ran *)
+  (match sampler with Some f -> f () | None -> ());
   {
     threads;
     elapsed;

@@ -24,9 +24,11 @@ val run :
 (** [run ~threads ~duration ~worker ()] runs [worker] on [threads]
     domains for [duration] seconds.  Each worker receives its spawn
     index, its registry tid, and a cheap [stop] predicate it must poll;
-    it returns its operation count.  [sampler], if given, is invoked
-    from the coordinating thread every [sample_every] seconds (default
-    0.05) during the window. *)
+    it returns its operation count.  [stop] returns [false] on its first
+    call, so a worker that polls before each operation records at least
+    one.  [sampler], if given, is invoked from the coordinating thread
+    every [sample_every] seconds (default 0.05) during the window, and
+    once more after the workers have stopped. *)
 
 val time : (unit -> 'a) -> float * 'a
 (** Wall-clock a thunk. *)

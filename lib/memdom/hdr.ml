@@ -4,9 +4,9 @@ exception Double_retire of string
 
 type lifecycle = Live | Retired | Freed
 
-(* Lifecycle lives in the low two bits of [state]; the generation counter
-   occupies the remaining bits and is bumped on every transition so that
-   tests can detect reuse/ABA without extra fields.  The generation is
+(* Lifecycle lives in the low two bits of [state_word]; the generation
+   counter occupies the remaining bits and is bumped on every transition
+   so that tests can detect reuse/ABA without extra fields.  The generation is
    carried across [recycle], so it is strictly monotone over a header's
    whole pooled lifetime: no two lives of the same header ever share a
    generation.
@@ -29,11 +29,20 @@ type lifecycle = Live | Retired | Freed
 
 let packed = ref true
 
+(* The lifecycle word lives in field 0 of the header block itself, not
+   in a separate [int Atomic.t]: [check_access] on a hop then reads the
+   header block only.  [Atomic] operations act on field 0 of the block
+   they are given, so [sw] views the header as that atomic; it is the
+   only way [state_word] is reached.  The field is [mutable] so the
+   compiler never treats the block as immutable, and nothing reads it
+   non-atomically (OCaml >= 5.4 spells this as an [@atomic] record
+   field).  [orc] and [eras] stay separate atomics: only one field can
+   be field 0. *)
 type t = {
+  mutable state_word : int;
   mutable uid : int;
   label : string;
   strict : bool;
-  state : int Atomic.t;
   orc : int Atomic.t;
   eras : int Atomic.t;
   mutable retired_ns : int;
@@ -41,6 +50,7 @@ type t = {
   mutable slot_release : int -> unit;
 }
 
+let sw (t : t) : int Atomic.t = Obj.magic t
 let orc_initial = 1 lsl 22
 
 let live_bits = 0
@@ -60,10 +70,10 @@ let no_release (_ : int) = ()
 
 let make ~uid ~label ~strict ~birth_era =
   {
+    state_word = live_bits;
     uid;
     label;
     strict;
-    state = Atomic.make live_bits;
     orc = Atomic.make orc_initial;
     eras = Atomic.make (pack_eras ~birth:birth_era ~death:death_none);
     retired_ns = 0;
@@ -77,8 +87,8 @@ let decode bits =
   | 1 -> Retired
   | _ -> Freed
 
-let lifecycle t = decode (Atomic.get t.state)
-let generation t = Atomic.get t.state lsr 2
+let lifecycle t = decode (Atomic.get (sw t))
+let generation t = Atomic.get (sw t) lsr 2
 
 let birth_era t = Atomic.get t.eras land era_mask
 
@@ -97,10 +107,10 @@ let set_death_era t e =
 let describe t = Printf.sprintf "%s#%d" t.label t.uid
 
 let check_access t =
-  if t.strict && Atomic.get t.state land state_mask = freed_bits then
+  if t.strict && Atomic.get (sw t) land state_mask = freed_bits then
     raise (Use_after_free (describe t))
 
-let is_freed t = Atomic.get t.state land state_mask = freed_bits
+let is_freed t = Atomic.get (sw t) land state_mask = freed_bits
 
 (* State transitions.  Packed mode: one fetch_and_add whose delta bumps
    the generation and rewrites the lifecycle bits in a single RMW;
@@ -120,48 +130,48 @@ let unretire_delta = (1 lsl 2) - retired_bits
 
 let rec mark_retired t =
   if !packed then begin
-    let old = Atomic.fetch_and_add t.state retired_delta in
+    let old = Atomic.fetch_and_add (sw t) retired_delta in
     match old land state_mask with
     | 0 (* Live *) -> ()
     | bits ->
-        ignore (Atomic.fetch_and_add t.state (-retired_delta));
+        ignore (Atomic.fetch_and_add (sw t) (-retired_delta));
         if bits = retired_bits then raise (Double_retire (describe t))
         else raise (Use_after_free (describe t))
   end
   else
-    let cur = Atomic.get t.state in
+    let cur = Atomic.get (sw t) in
     match cur land state_mask with
     | 0 (* Live *) ->
-        if not (Atomic.compare_and_set t.state cur (next_state cur retired_bits))
+        if not (Atomic.compare_and_set (sw t) cur (next_state cur retired_bits))
         then mark_retired t
     | 1 (* Retired *) -> raise (Double_retire (describe t))
     | _ (* Freed *) -> raise (Use_after_free (describe t))
 
 let rec unretire t =
   if !packed then begin
-    let old = Atomic.fetch_and_add t.state unretire_delta in
+    let old = Atomic.fetch_and_add (sw t) unretire_delta in
     match old land state_mask with
     | 1 (* Retired *) -> ()
     | 0 (* Live: lost a race with another unretire *) ->
-        ignore (Atomic.fetch_and_add t.state (-unretire_delta))
+        ignore (Atomic.fetch_and_add (sw t) (-unretire_delta))
     | _ (* Freed *) ->
-        ignore (Atomic.fetch_and_add t.state (-unretire_delta));
+        ignore (Atomic.fetch_and_add (sw t) (-unretire_delta));
         raise (Use_after_free (describe t))
   end
   else
-    let cur = Atomic.get t.state in
+    let cur = Atomic.get (sw t) in
     match cur land state_mask with
     | 1 (* Retired *) ->
-        if not (Atomic.compare_and_set t.state cur (next_state cur live_bits))
+        if not (Atomic.compare_and_set (sw t) cur (next_state cur live_bits))
         then unretire t
     | 0 (* Live *) -> () (* lost a race with another unretire; already live *)
     | _ (* Freed *) -> raise (Use_after_free (describe t))
 
 let rec mark_freed t =
-  let cur = Atomic.get t.state in
+  let cur = Atomic.get (sw t) in
   match cur land state_mask with
   | 0 | 1 (* Live | Retired *) ->
-      if not (Atomic.compare_and_set t.state cur (next_state cur freed_bits))
+      if not (Atomic.compare_and_set (sw t) cur (next_state cur freed_bits))
       then mark_freed t
   | _ (* Freed *) -> raise (Double_free (describe t))
 
@@ -175,9 +185,9 @@ let rec mark_freed t =
    touched: it was released (and reset to -1) when the header was
    freed, and the next life re-registers on first publication. *)
 let rec recycle t ~uid ~birth_era =
-  let cur = Atomic.get t.state in
+  let cur = Atomic.get (sw t) in
   if cur land state_mask <> freed_bits then raise (Double_free (describe t))
-  else if not (Atomic.compare_and_set t.state cur (next_state cur live_bits))
+  else if not (Atomic.compare_and_set (sw t) cur (next_state cur live_bits))
   then recycle t ~uid ~birth_era
   else begin
     t.uid <- uid;

@@ -17,7 +17,9 @@
     The header also hosts the per-object words the various schemes need,
     all of them word-packed (DESIGN.md, "Word-packed representation"):
 
-    - [state]: lifecycle in the low 2 bits, generation above.  With
+    - [state_word]: lifecycle in the low 2 bits, generation above,
+      stored in field 0 of the header block itself (one block per
+      [check_access], not two).  With
       {!packed} on (default) the Live↔Retired transitions are single
       [Atomic.fetch_and_add]s — no read-before-CAS, no loop, no
       allocation; with it off, the historical CAS loops.
@@ -44,13 +46,17 @@ val packed : bool ref
     (same observable behaviour, one extra atomic read per transition). *)
 
 type t = {
+  mutable state_word : int;
+      (** lifecycle in the low 2 bits, generation above.  Field 0 of the
+          block, read and written only atomically by this module's
+          transitions (the block doubles as the word's [int Atomic.t]);
+          never access it directly. *)
   mutable uid : int;
       (** unique allocation id, for diagnostics.  Mutable only so
           {!recycle} can restamp a pooled header; uids never repeat —
           every hand-out (fresh or recycled) draws a new one. *)
   label : string;  (** type/owner label, for diagnostics *)
   strict : bool;  (** raise on access-after-free? *)
-  state : int Atomic.t;  (** lifecycle in low bits, generation above *)
   orc : int Atomic.t;  (** OrcGC word: 22-bit count, BRETIRED, sequence *)
   eras : int Atomic.t;
       (** hazard eras, packed: birth in bits 0–30, death in bits 31–61

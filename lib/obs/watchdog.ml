@@ -7,7 +7,15 @@ open Atomicx
 let clock = Atomic.make 0
 
 let tick () = Atomic.get clock
-let advance () = 1 + Atomic.fetch_and_add clock 1
+
+(* The tick [pause] stopped at; the next [advance] resumes from it, so
+   the sampled series stay monotonic across a pause. *)
+let paused_at = Atomic.make 0
+
+let advance () =
+  if Atomic.get clock = 0 then
+    ignore (Atomic.compare_and_set clock 0 (Atomic.get paused_at));
+  1 + Atomic.fetch_and_add clock 1
 
 (* Per-tid rows live in one plain int array, one cache line per tid:
    stamp at [+0] (tick at outermost enter, 0 = idle), generation at
@@ -59,6 +67,14 @@ let create () =
   tables := w :: List.filter (fun w -> Weak.check w 0) !tables;
   Mutex.unlock tables_lock;
   t
+
+let pause () =
+  let now = Atomic.get clock in
+  if now > 0 then Atomic.set paused_at now;
+  Atomic.set clock 0;
+  List.iter
+    (fun t -> Array.fill t.rows 0 (Array.length t.rows) 0)
+    (live_tables ())
 
 let enter t ~tid =
   let now = Atomic.get clock in

@@ -34,11 +34,20 @@ val create : unit -> t
     contract as [Registry.on_quarantine]). *)
 
 val tick : unit -> int
-(** The global logical tick; 0 until a sampler first {!advance}s. *)
+(** The global logical tick; 0 until a sampler first {!advance}s, and
+    while {!pause}d. *)
 
 val advance : unit -> int
 (** Bump the global tick and return its new value.  Called once per
     sampler interval; tests may drive it manually. *)
+
+val pause : unit -> unit
+(** Put the watchdog back in its idle state: tick 0 and every row
+    cleared, so guards pay only the idle cost again.  The next
+    {!advance} resumes the tick where it stopped, so sampled series
+    stay monotonic.  Call it only with no sampler running and no guard
+    open.  A/B measurements use it to run plane-off rounds after
+    plane-on ones. *)
 
 val enter : t -> tid:int -> unit
 (** Guard acquisition: on the outermost nesting level, stamp the current

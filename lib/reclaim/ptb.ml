@@ -125,8 +125,9 @@ module Make (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
      a thread whose validation re-read finds the value already
      unlinked, and the legacy walk's single point-in-time read could
      equally miss it; a guard lowered after the snapshot at worst
-     receives a handoff its owner's [clear] drains back — the same
-     race the live walk has between [find_guard] and [hand]. *)
+     receives a handoff its owner's [clear] drains back (or [flush],
+     when the owner has exited) — the same race the live walk has
+     between [find_guard] and [hand]. *)
   let build_snapshot t ~tid ~visited =
     let s = t.scratch.(tid) in
     Scan_set.reset s;
@@ -191,17 +192,20 @@ module Make (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
     Scheme_intf.Counters.scanned t.counters ~tid ~slots:!visited;
     Obs.Sink.scan_end t.sink ~tid ~slots:!visited ~began
 
-  let clear t ~tid ~idx =
-    Atomic.set t.post.(tid).(idx) None;
+  (* Empty one handoff slot.  The versioned exchange gives each value to
+     exactly one drainer, whoever else drains the slot concurrently. *)
+  let take_handoff t ~tid ~idx =
     let slot = t.handoff.(tid).(idx) in
     let h = Atomic.get slot in
     match h.v with
+    | None -> None
+    | Some _ -> (Atomic.exchange slot { v = None; ver = h.ver + 1 }).v
+
+  let clear t ~tid ~idx =
+    Atomic.set t.post.(tid).(idx) None;
+    match take_handoff t ~tid ~idx with
+    | Some q -> t.retired.(tid) := q :: !(t.retired.(tid))
     | None -> ()
-    | Some _ ->
-        let h' = Atomic.exchange slot { v = None; ver = h.ver + 1 } in
-        (match h'.v with
-        | Some q -> t.retired.(tid) := q :: !(t.retired.(tid))
-        | None -> ())
 
   let end_op t ~tid =
     for idx = 0 to t.hps - 1 do
@@ -262,15 +266,9 @@ module Make (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
     refresh_threshold t;
     let trapped = ref [] in
     for idx = 0 to t.hps - 1 do
-      let slot = t.handoff.(tid).(idx) in
-      let h = Atomic.get slot in
-      match h.v with
+      match take_handoff t ~tid ~idx with
+      | Some q -> trapped := q :: !trapped
       | None -> ()
-      | Some _ -> (
-          let h' = Atomic.exchange slot { v = None; ver = h.ver + 1 } in
-          match h'.v with
-          | Some q -> trapped := q :: !trapped
-          | None -> ())
     done;
     let batch = !trapped @ !(t.retired.(tid)) in
     t.retired.(tid) := [];
@@ -291,15 +289,9 @@ module Make (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
     refresh_threshold t;
     let trapped = ref [] in
     for idx = 0 to t.hps - 1 do
-      let slot = t.handoff.(tid).(idx) in
-      let h = Atomic.get slot in
-      match h.v with
+      match take_handoff t ~tid ~idx with
+      | Some q -> trapped := q :: !trapped
       | None -> ()
-      | Some _ -> (
-          let h' = Atomic.exchange slot { v = None; ver = h.ver + 1 } in
-          match h'.v with
-          | Some q -> trapped := q :: !trapped
-          | None -> ())
     done;
     match !trapped with
     | [] -> ()
@@ -354,12 +346,23 @@ module Make (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
     t.tuning <- tn;
     refresh_threshold t
 
+  (* Besides the retired lists, empty every handoff slot.  A liberator
+     that found a guard raised can hand it a value after the guard's
+     owner already drained that slot (its [clear] ran first, or it
+     exited and quarantine ran); the slot of an exited owner is never
+     drained again.  [liberate] re-checks the guards, so a value that
+     is still trapped is handed back. *)
   let flush t =
     for _ = 1 to 2 do
       for tid = 0 to Registry.registered () - 1 do
-        let vs = !(t.retired.(tid)) in
+        let vs = ref !(t.retired.(tid)) in
         t.retired.(tid) := [];
-        liberate t ~tid vs
+        for idx = 0 to t.hps - 1 do
+          match take_handoff t ~tid ~idx with
+          | Some q -> vs := q :: !vs
+          | None -> ()
+        done;
+        liberate t ~tid !vs
       done
     done
 end

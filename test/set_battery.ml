@@ -75,34 +75,50 @@ struct
         ok && Memdom.Alloc.live (S.alloc s) = 0)
 
   (* Disjoint key ranges per domain: each domain's final state is
-     deterministic, so the union is checkable after the join. *)
+     deterministic, so the union is checkable after the join.  A worker
+     stops at its first result that disagrees with its model and
+     returns it; the main domain asserts. *)
   let test_concurrent_disjoint_ranges () =
     let s = S.create () in
     let domains = 4 and span = 50 and iters = 2_000 in
-    let models =
+    let results =
       run_domains domains (fun ~i ~tid:_ ->
           let base = (i + 1) * 1_000 in
           let rng = Atomicx.Rng.create ((i + 1) * 6151) in
           let model = ref IntSet.empty in
-          for _ = 1 to iters do
-            let k = base + Atomicx.Rng.int rng span in
-            match Atomicx.Rng.int rng 3 with
-            | 0 ->
-                let expect = not (IntSet.mem k !model) in
-                model := IntSet.add k !model;
-                if S.add s k <> expect then Alcotest.failf "add %d" k
-            | 1 ->
-                let expect = IntSet.mem k !model in
-                model := IntSet.remove k !model;
-                if S.remove s k <> expect then Alcotest.failf "remove %d" k
-            | _ ->
-                if S.contains s k <> IntSet.mem k !model then
-                  Alcotest.failf "contains %d" k
-          done;
-          !model)
+          let rec go n =
+            if n = 0 then None
+            else
+              let k = base + Atomicx.Rng.int rng span in
+              let mismatch =
+                match Atomicx.Rng.int rng 3 with
+                | 0 ->
+                    let expect = not (IntSet.mem k !model) in
+                    model := IntSet.add k !model;
+                    if S.add s k <> expect then Some ("add", k) else None
+                | 1 ->
+                    let expect = IntSet.mem k !model in
+                    model := IntSet.remove k !model;
+                    if S.remove s k <> expect then Some ("remove", k) else None
+                | _ ->
+                    if S.contains s k <> IntSet.mem k !model then
+                      Some ("contains", k)
+                    else None
+              in
+              if mismatch = None then go (n - 1) else mismatch
+          in
+          let mismatch = go iters in
+          (!model, mismatch))
     in
+    List.iteri
+      (fun i (_, mismatch) ->
+        Alcotest.(check (option (pair string int)))
+          (Printf.sprintf "domain %d: every result matches its model" i)
+          None mismatch)
+      results;
     let expected =
-      List.fold_left IntSet.union IntSet.empty models |> IntSet.elements
+      List.fold_left (fun acc (m, _) -> IntSet.union acc m) IntSet.empty results
+      |> IntSet.elements
     in
     check_bool "final set is the union of per-domain models" true
       (S.to_list s = expected);

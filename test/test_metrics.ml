@@ -156,6 +156,27 @@ let test_watchdog_quarantine_clears () =
     (List.mem_assoc !stalled_tid (Obs.Watchdog.check ~max_age:3 ()));
   ignore (Sys.opaque_identity wd)
 
+(* [pause] idles the watchdog (tick 0, no stamping, open stamps
+   dropped) and the next [advance] resumes the tick where it stopped,
+   so sampled series never see a tick go backwards. *)
+let test_watchdog_pause_resumes () =
+  let wd = Obs.Watchdog.create () in
+  Registry.with_tid @@ fun tid ->
+  let before = Obs.Watchdog.advance () in
+  Obs.Watchdog.enter wd ~tid;
+  Obs.Watchdog.pause ();
+  Obs.Watchdog.pause () (* a second pause keeps the resume point *);
+  check_int "tick is 0 while paused" 0 (Obs.Watchdog.tick ());
+  check_int "advance resumes" (before + 1) (Obs.Watchdog.advance ());
+  ignore (Obs.Watchdog.advance ());
+  check_int "stamp open across the pause was dropped" 0
+    (Obs.Watchdog.stall_age_max wd);
+  Obs.Watchdog.leave wd ~tid;
+  Obs.Watchdog.enter wd ~tid;
+  ignore (Obs.Watchdog.advance ());
+  check_int "stamps again once resumed" 1 (Obs.Watchdog.stall_age_max wd);
+  Obs.Watchdog.leave wd ~tid
+
 (* ------------------------------------------------------------------ *)
 (* Sampler *)
 
@@ -203,6 +224,8 @@ let suite =
         Alcotest.test_case "watchdog lifecycle" `Quick test_watchdog_lifecycle;
         Alcotest.test_case "watchdog quarantine clears" `Quick
           test_watchdog_quarantine_clears;
+        Alcotest.test_case "watchdog pause resumes the tick" `Quick
+          test_watchdog_pause_resumes;
         Alcotest.test_case "sampler end to end" `Quick
           test_sampler_end_to_end;
         Alcotest.test_case "stall injection battery" `Quick

@@ -102,6 +102,27 @@ let test_ptp_bound_saturation () =
   check_int "all reclaimed after clears" 0 (Ptp.unreclaimed s);
   check_int "no leak" 0 (Memdom.Alloc.live alloc)
 
+(* Pass-the-buck's liberator can hand a value to a guard after the
+   guard's owner already drained its handoff slot (its [clear] ran
+   first, or it exited and quarantine ran), stranding the value where
+   no [clear] will look again.  [flush] must still free it. *)
+module Ptb = Reclaim.Ptb.Make (TN)
+
+let test_ptb_flush_drains_stranded_handoff () =
+  reserve_staged_tids ();
+  let alloc = Memdom.Alloc.create "ptb-wb" in
+  let s = Ptb.create ~max_hps:4 alloc in
+  let n = mk alloc 1 in
+  Ptb.protect_raw s ~tid:5 ~idx:0 (Some n);
+  Ptb.retire s ~tid:0 n;
+  Ptb.flush s (* liberates: n is handed to tid 5's guard *);
+  check_bool "trapped, not freed" false (Memdom.Hdr.is_freed n.hdr);
+  (* the guard comes down with no [clear] after the hand *)
+  Ptb.protect_raw s ~tid:5 ~idx:0 None;
+  Ptb.flush s;
+  check_bool "freed by flush" true (Memdom.Hdr.is_freed n.hdr);
+  check_int "no leak" 0 (Memdom.Alloc.live alloc)
+
 (* ------------------------------------------------------------------ *)
 (* OrcGC hazard-index management *)
 
@@ -208,11 +229,113 @@ let test_orc_scan_cost_bounded () =
   check_int "all reclaimed" 0 (Memdom.Alloc.live alloc)
 
 (* ------------------------------------------------------------------ *)
-(* Handle rotation ([Ptr.swap]) on both OrcGC backends *)
+(* Word layout: the lifecycle word and the tagged-link word live in
+   field 0 of their owning blocks *)
 
-(* The slice of the core API the rotation tests drive; both
-   [Orc.Make] and [Orc_hp.Make] satisfy it. *)
-module type SWAP_CORE = sig
+let field0 x : Obj.t = Obj.field (Obj.repr x) 0
+
+(* Arenas snapshot [Link.tagged] at creation; the address-plane tests
+   need tagged links whatever the suite-wide ablation setting. *)
+let with_tagged f =
+  let saved = !Link.tagged in
+  Link.tagged := true;
+  Fun.protect ~finally:(fun () -> Link.tagged := saved) f
+
+(* Every transition, in both [Hdr.packed] settings, must land in field
+   0 with the exact (generation, lifecycle) encoding of a reference
+   count kept here, and must leave the named fields alone.  Reordering
+   the record (anything other than [state_word] at field 0) makes the
+   transitions clobber that field or read a foreign one. *)
+let test_hdr_word_is_field_0 () =
+  List.iter
+    (fun packed ->
+      let saved = !Memdom.Hdr.packed in
+      Memdom.Hdr.packed := packed;
+      Fun.protect ~finally:(fun () -> Memdom.Hdr.packed := saved) (fun () ->
+          let module H = Memdom.Hdr in
+          let h = H.make ~uid:12345 ~label:"layout" ~strict:true ~birth_era:3 in
+          let gen = ref 0 and uid = ref 12345 in
+          let expect what bits =
+            let name = Printf.sprintf "%s (packed=%b)" what packed in
+            check_int (name ^ ": field 0") ((!gen lsl 2) lor bits)
+              (Obj.obj (field0 h) : int);
+            check_int (name ^ ": generation") !gen (H.generation h);
+            check_int (name ^ ": uid untouched") !uid h.H.uid;
+            check_int (name ^ ": orc untouched") H.orc_initial
+              (Atomic.get h.H.orc);
+            check_int (name ^ ": birth era untouched") 3 (H.birth_era h)
+          in
+          let step what f bits =
+            f ();
+            incr gen;
+            expect what bits
+          in
+          expect "made" 0;
+          H.check_access h;
+          step "retired" (fun () -> H.mark_retired h) 1;
+          Alcotest.check_raises "double retire" (H.Double_retire "layout#12345")
+            (fun () -> H.mark_retired h);
+          expect "double retire undone" 1;
+          step "unretired" (fun () -> H.unretire h) 0;
+          H.unretire h (* lost race: a no-op *);
+          expect "second unretire" 0;
+          step "retired again" (fun () -> H.mark_retired h) 1;
+          step "freed" (fun () -> H.mark_freed h) 2;
+          check_bool "freed" true (H.is_freed h);
+          Alcotest.check_raises "access after free"
+            (H.Use_after_free "layout#12345") (fun () -> H.check_access h);
+          Alcotest.check_raises "retire after free"
+            (H.Use_after_free "layout#12345") (fun () -> H.mark_retired h);
+          expect "retire after free undone" 2;
+          uid := 777;
+          step "recycled" (fun () -> H.recycle h ~uid:777 ~birth_era:3) 0;
+          H.check_access h))
+    [ true; false ]
+
+(* A tagged link's word is field 0 of the link block: [view] reads it,
+   and every write lands there with the exact word encoding. *)
+let test_link_word_is_field_0 () =
+  with_tagged (fun () ->
+      let arena = Memdom.Handle.arena ~hdr:(fun (n : onode) -> n.hdr) () in
+      let alloc = Memdom.Alloc.create "layout" in
+      let node () =
+        { hdr = Memdom.Alloc.hdr alloc (); next = Link.make Link.Null }
+      in
+      let x = node () and y = node () in
+      let l = Link.make_in arena (Link.Ptr x) in
+      let addr n = (n.hdr.Memdom.Hdr.slot + 1) lsl 3 in
+      let expect what w =
+        check_bool (what ^ ": field 0 is an int") true (Obj.is_int (field0 l));
+        check_int (what ^ ": field 0") w (Obj.obj (field0 l) : int);
+        check_bool (what ^ ": view is field 0") true
+          (Obj.repr (Link.view l) == field0 l)
+      in
+      expect "made" (addr x);
+      Link.set l (Link.Mark x);
+      expect "set mark" (addr x lor 1);
+      check_bool "cas" true (Link.cas l (Link.Mark x) (Link.Ptr y));
+      expect "cas" (addr y);
+      ignore (Link.exchange l Link.Null);
+      expect "exchange" 0;
+      Link.set_v l (Link.v_ptr_in arena x);
+      expect "set_v" (addr x);
+      check_bool "cas_v" true
+        (Link.cas_v l (Link.v_ptr_in arena x) (Link.v_mark (Link.view l)));
+      expect "cas_v" (addr x lor 1);
+      ignore (Link.exchange_v l (Link.v_ptr_in arena y));
+      expect "exchange_v" (addr y);
+      check_int "v_addr is the clean word" (addr y)
+        (Link.v_addr (Link.view l));
+      let l' = Link.make_of_view arena (Link.v_mark (Link.view l)) in
+      check_int "make_of_view" (addr y lor 1) (Obj.obj (field0 l') : int))
+
+(* ------------------------------------------------------------------ *)
+(* Handle rotation ([Ptr.swap]) and address publication on both OrcGC
+   backends *)
+
+(* The slice of the core API these tests drive; both [Orc.Make] and
+   [Orc_hp.Make] satisfy it. *)
+module type CORE = sig
   type t
   type guard
 
@@ -249,7 +372,7 @@ end)
 (* [eager]: the backend frees an object the moment its last protection
    goes (OrcGC's pass-the-pointer drain at guard exit); the HP backend
    frees at its next scan, forced here by [flush]. *)
-module Swap_tests (C : SWAP_CORE) (B : sig
+module Core_tests (C : CORE) (B : sig
   val name : string
   val eager : bool
   val handovers : C.t -> int
@@ -263,6 +386,70 @@ struct
   let mk g hdr = { hdr; next = C.new_link g Link.Null }
 
   let settle o = if not B.eager then C.flush o
+
+  (* Retire a stream of never-linked nodes through [scratch]: on the HP
+     backend the retired list crosses its threshold and scans. *)
+  let churn alloc g scratch =
+    for _ = 1 to 200 do
+      ignore (C.alloc_node_into g scratch (mk g))
+    done;
+    check_bool "churn reclaimed (scans ran)" true
+      (Memdom.Alloc.live alloc < 100)
+
+  let link_fresh o root =
+    C.with_guard o (fun g ->
+        let n = C.alloc_node_into g (C.ptr g) (mk g) in
+        C.store g root (Link.Ptr n);
+        n)
+
+  (* [n], linked only from [root], is loaded into a handle — on a tagged
+     link that publishes [n]'s arena address and nothing else — and then
+     loses its last hard link.  The retire scan must find the address:
+     [n] is handed over (HP: kept on the retired list through forced
+     scans), not freed, and its arena slot stays taken until the guard
+     exits. *)
+  let check_address_pins alloc o root n =
+    let slot = n.hdr.Memdom.Hdr.slot in
+    check_bool "registered in the arena" true (slot >= 0);
+    let handovers_before = B.handovers o in
+    C.with_guard o (fun g ->
+        let a = C.ptr g and scratch = C.ptr g in
+        C.load g root a;
+        check_bool "loaded the node" true (C.Ptr.node_exn a == n);
+        C.store g root Link.Null;
+        churn alloc g scratch;
+        check_bool "not freed while its address is published" false
+          (Memdom.Hdr.is_freed n.hdr);
+        check_int "arena slot not released" slot n.hdr.Memdom.Hdr.slot;
+        if B.eager then
+          check_bool "handed over" true (B.handovers o > handovers_before));
+    settle o;
+    check_bool "freed after guard exit" true (Memdom.Hdr.is_freed n.hdr);
+    check_int "arena slot released" (-1) n.hdr.Memdom.Hdr.slot
+
+  let fresh_tagged () = with_tagged fresh
+
+  let test_address_pins_node () =
+    let alloc, o = fresh_tagged () in
+    let root = C.with_guard o (fun g -> C.new_link g Link.Null) in
+    check_address_pins alloc o root (link_fresh o root);
+    check_int "no leak" 0 (Memdom.Alloc.live alloc)
+
+  (* X is freed and its arena slot re-issued to Y, so Y's address is
+     X's old one.  Loading Y publishes that address, which must protect
+     Y, the slot's current occupant. *)
+  let test_reused_slot_protects_new_occupant () =
+    let alloc, o = fresh_tagged () in
+    let root = C.with_guard o (fun g -> C.new_link g Link.Null) in
+    let x = link_fresh o root in
+    let slot = x.hdr.Memdom.Hdr.slot in
+    C.with_guard o (fun g -> C.store g root Link.Null);
+    settle o;
+    check_bool "X freed" true (Memdom.Hdr.is_freed x.hdr);
+    let y = link_fresh o root in
+    check_int "Y got X's slot" slot y.hdr.Memdom.Hdr.slot;
+    check_address_pins alloc o root y;
+    check_int "no leak" 0 (Memdom.Alloc.live alloc)
 
   (* Swap keeps each protection in place: X loaded into [a] and Y into
      [b], then [swap a b].  Reloading [a] must drop Y's protection, not
@@ -293,14 +480,8 @@ struct
         C.load g rnull a;
         check_bool "a reloaded to null" true (C.Ptr.is_null a);
         C.store g rx Link.Null;
-        (* churn unlinked nodes through [scratch]: on the HP backend the
-           retired list crosses its threshold and scans while X is
-           still protected by [b] *)
-        for _ = 1 to 200 do
-          ignore (C.alloc_node_into g scratch (mk g))
-        done;
-        check_bool "churn reclaimed around X (scans ran)" true
-          (Memdom.Alloc.live alloc < 100);
+        (* the HP backend scans while X is still protected by [b] *)
+        churn alloc g scratch;
         check_bool "X not freed while b protects it" false
           (Memdom.Hdr.is_freed x.hdr);
         Memdom.Hdr.check_access x.hdr;
@@ -375,11 +556,15 @@ struct
         test_swap_keeps_protection;
       Alcotest.test_case (B.name ^ " rotated walk keeps the watermark") `Quick
         test_rotated_walk_watermark;
+      Alcotest.test_case (B.name ^ " published address pins the node") `Quick
+        test_address_pins_node;
+      Alcotest.test_case (B.name ^ " reused slot protects its new occupant")
+        `Quick test_reused_slot_protects_new_occupant;
     ]
 end
 
-module Swap_orc =
-  Swap_tests
+module Core_orc =
+  Core_tests
     (O)
     (struct
       let name = "orc"
@@ -387,8 +572,8 @@ module Swap_orc =
       let handovers o = (O.stats o).O.handovers
     end)
 
-module Swap_orc_hp =
-  Swap_tests
+module Core_orc_hp =
+  Core_tests
     (Ohp)
     (struct
       let name = "orc-hp"
@@ -449,6 +634,8 @@ let suite =
           test_ptp_handover_eviction;
         Alcotest.test_case "ptp bound saturation" `Quick
           test_ptp_bound_saturation;
+        Alcotest.test_case "ptb flush drains a stranded handoff" `Quick
+          test_ptb_flush_drains_stranded_handoff;
         Alcotest.test_case "orc index exhaustion raises" `Quick
           test_orc_index_exhaustion_raises;
         Alcotest.test_case "orc indexes recycle across guards" `Quick
@@ -457,6 +644,10 @@ let suite =
         Alcotest.test_case "orc scan cost bounded by registered threads"
           `Quick test_orc_scan_cost_bounded;
         prop_hdr_matches_model;
+        Alcotest.test_case "header lifecycle word is field 0" `Quick
+          test_hdr_word_is_field_0;
+        Alcotest.test_case "tagged link word is field 0" `Quick
+          test_link_word_is_field_0;
       ]
-      @ Swap_orc.cases @ Swap_orc_hp.cases );
+      @ Core_orc.cases @ Core_orc_hp.cases );
   ]
